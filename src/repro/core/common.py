@@ -60,7 +60,8 @@ def check_valid(el: EdgeList, res: PartitionResult, *, alpha: float | None = Non
     """
     a = res.assignment
     assert a.shape == (el.m, 3), f"assigned {a.shape[0]} of {el.m} edges"
-    assert a[:, 2].min() >= 0 and a[:, 2].max() < res.k, "pid out of range"
+    if el.m:  # min/max have no identity on an empty assignment
+        assert a[:, 2].min() >= 0 and a[:, 2].max() < res.k, "pid out of range"
     want = np.sort(_pair_key(el.edges[:, 0], el.edges[:, 1]))
     got = np.sort(_pair_key(a[:, 0], a[:, 1]))
     assert np.array_equal(want, got), "assigned edge set differs from input edge set"

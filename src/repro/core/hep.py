@@ -43,7 +43,7 @@ def partition_hep(
     state = StreamState(el.n, k, replicas=inmem.replicas, sizes=inmem.sizes)
     cap = max(1, int(np.ceil(alpha * el.m / k)))
     pids = stream_edges(
-        h2h.astype(np.int64),
+        h2h,
         state=state,
         degrees=el.degrees(),
         cap=cap,

@@ -5,7 +5,7 @@ on every analog graph for every k — the paper's §2 problem definition.
 import numpy as np
 import pytest
 
-from repro.core.common import check_valid
+from repro.core.common import PartitionResult, check_valid
 from repro.core.hashing import dbh_np
 from repro.core.hep import partition_hep
 from repro.core.hybrid_baseline import partition_simple_hybrid
@@ -13,6 +13,7 @@ from repro.core.ne import partition_ne
 from repro.core.nepp import partition_nepp
 from repro.core.sne import partition_sne
 from repro.core.streaming import partition_streaming
+from repro.graphs.generators import EdgeList
 
 from .conftest import TEST_GRAPHS, path_graph, star_graph, tiny_graph, two_triangles
 
@@ -106,3 +107,19 @@ def test_replicas_superset_of_covered(pname):
     res = PARTITIONERS[pname](el, 8)
     cov = res.covered()
     assert (res.replicas | cov == res.replicas).all()
+
+
+def test_check_valid_empty_graph():
+    """An empty edge list with an empty assignment is valid; the pid
+    range check must not reduce over zero rows."""
+    el = EdgeList(edges=np.empty((0, 2), dtype=np.uint32), n=0)
+    res = PartitionResult(assignment=np.empty((0, 3), dtype=np.int64), k=4, n=0)
+    check_valid(el, res, alpha=1.05)
+
+
+def test_check_valid_rejects_pid_out_of_range():
+    el = star_graph(3)
+    res = partition_streaming(el, k=2)
+    res.assignment[0, 2] = 2
+    with pytest.raises(AssertionError, match="pid out of range"):
+        check_valid(el, res)
