@@ -3,7 +3,6 @@ the paper's evaluation tables, plus metrics and the §4.2 memory model."""
 from .common import PartitionResult, check_valid  # noqa: F401
 from .hashing import dbh_np, partition_dbh, partition_grid  # noqa: F401
 from .hep import partition_hep  # noqa: F401
-from .hybrid_baseline import partition_simple_hybrid  # noqa: F401
 from .ne import partition_ne  # noqa: F401
 from .nepp import partition_nepp  # noqa: F401
 from .sne import partition_sne  # noqa: F401

@@ -6,9 +6,10 @@ All metrics consume an *assignment* DataFrame(src, dst, pid):
 * edge balance        α  = max_i |p_i| / (|E|/k),
 * vertex balance      std/avg of |V(p_i)| over partitions (Table 5).
 
-numpy twins operate on :class:`PartitionResult` for driver-side use;
-tests assert Spark and numpy agree and oracle-check the Spark versions
-against DuckDB SQL.
+numpy twins operate on :class:`PartitionResult` for driver-side use
+(RF's is :meth:`PartitionResult.replication_factor`); tests assert
+Spark and numpy agree and oracle-check the Spark versions against
+DuckDB SQL.
 """
 from __future__ import annotations
 
@@ -70,10 +71,6 @@ def assignment_to_spark(spark: SparkSession, res: PartitionResult) -> DataFrame:
 
 
 # --- numpy twins -------------------------------------------------------
-
-def replication_factor_np(res: PartitionResult) -> float:
-    return res.replication_factor()
-
 
 def edge_balance_np(res: PartitionResult) -> float:
     m = res.assignment.shape[0]

@@ -41,12 +41,13 @@ def partition_nepp(
     k: int,
     tau: float,
     csr: CSR | None = None,
-) -> PartitionResult:
+) -> tuple[PartitionResult, np.ndarray]:
     """Partition the in-memory edge set of ``el`` into ``k`` parts.
 
-    Returns a :class:`PartitionResult` whose assignment covers only the
-    in-memory edges ``E \\ E_h2h``; the external ``E_h2h`` edges are in
-    ``result.stats["h2h"]`` for the streaming phase (:mod:`.hep`).
+    Returns ``(result, h2h)``, the same shape as
+    :func:`~repro.graphs.degrees.split_edges_np`: ``result``'s assignment
+    covers only the in-memory edges ``E \\ E_h2h``, and ``h2h`` holds
+    the external ``E_h2h`` edges for the streaming phase (:mod:`.hep`).
     ``csr`` may be supplied pre-built (e.g. with a paging ``touch``
     hook); it is consumed (mutated by clean-up).
     """
@@ -233,11 +234,10 @@ def partition_nepp(
         n=n,
         replicas=replicas,
         stats={
-            "h2h": csr.h2h,
             "m_inmem": m_inmem,
             "cap": cap,
             "cleaned_entries": cleaned_entries,
             "initial_col_entries": initial_entries,
             "high_count": int(high.sum()),
         },
-    )
+    ), csr.h2h

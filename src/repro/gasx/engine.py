@@ -27,6 +27,8 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..core.metrics import covered_vertices
+
 
 def symmetrize(assignment: DataFrame) -> DataFrame:
     """Both directions of every edge, each keeping its pid."""
@@ -46,18 +48,9 @@ def vertices(assignment: DataFrame) -> DataFrame:
     )
 
 
-def replica_table(assignment: DataFrame) -> DataFrame:
-    """DataFrame(pid, v): the replica (covered-vertex) pairs."""
-    return (
-        assignment.select("pid", F.col("src").alias("v"))
-        .unionAll(assignment.select("pid", F.col("dst").alias("v")))
-        .distinct()
-    )
-
-
 def comm_volume(assignment: DataFrame) -> int:
     """Σ_i |V(p_i)| — per-iteration replica-sync upper bound."""
-    return replica_table(assignment).count()
+    return covered_vertices(assignment).count()
 
 
 def two_stage_agg(msgs: DataFrame, agg_col: str, how: str) -> tuple[DataFrame, int]:

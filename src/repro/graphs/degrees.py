@@ -6,9 +6,10 @@ and low-degree, then partitions the edge set into
 * ``E_h2h`` — both endpoints high-degree → streaming phase, and
 * ``E \\ E_h2h`` — at least one low endpoint → in-memory NE++ phase.
 
-Each function has a numpy twin (suffix ``_np``) used by the driver-side
-partitioner cores; tests assert Spark and numpy agree and oracle-check
-the Spark jobs against DuckDB SQL.
+Each function has a numpy twin used by the driver-side partitioner
+cores (suffix ``_np``; :meth:`EdgeList.degrees` for :func:`degrees_df`);
+tests assert Spark and numpy agree and oracle-check the Spark jobs
+against DuckDB SQL.
 """
 from __future__ import annotations
 
@@ -58,11 +59,6 @@ def split_edges(edges: DataFrame, high: DataFrame) -> tuple[DataFrame, DataFrame
 
 
 # --- numpy twins (used by the driver-side partitioner cores) -----------
-
-def degrees_np(el: EdgeList) -> np.ndarray:
-    """Per-vertex degree, shape (n,), int64."""
-    return el.degrees().astype(np.int64)
-
 
 def high_mask_np(deg: np.ndarray, tau: float) -> np.ndarray:
     """Boolean mask of high-degree vertices.

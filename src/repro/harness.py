@@ -13,9 +13,9 @@ import time
 import numpy as np
 from pyspark.sql import SparkSession
 
+from .core.common import check_valid
 from .core.hashing import dbh_np
 from .core.hep import partition_hep
-from .core.hybrid_baseline import partition_simple_hybrid
 from .core.memory_model import (
     hep_footprint_bytes,
     ne_footprint_bytes,
@@ -24,7 +24,6 @@ from .core.memory_model import (
 from .core.metrics import (
     assignment_to_spark,
     edge_balance_np,
-    replication_factor_np,
     vertex_balance_np,
 )
 from .core.ne import partition_ne
@@ -42,7 +41,12 @@ FIG8_EXTRA = ("Greedy", "Random")
 
 
 def run_partitioner(name: str, el: EdgeList, *, k: int):
-    """Dispatch by lineup name; returns (PartitionResult, seconds)."""
+    """Dispatch by lineup name; returns (PartitionResult, seconds).
+
+    After the timer stops, the result is checked: a valid partitioning
+    of ``el`` (without α, since DBH is unbalanced by design) whose
+    ``replicas`` hold every vertex its assignment covers.
+    """
     t0 = time.perf_counter()
     if name.startswith("HEP-"):
         res = partition_hep(el, k=k, tau=float(name.split("-")[1]))
@@ -60,7 +64,10 @@ def run_partitioner(name: str, el: EdgeList, *, k: int):
         res = dbh_np(el, k=k)
     else:
         raise ValueError(name)
-    return res, time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
+    check_valid(el, res)
+    assert not (res.covered() & ~res.replicas).any(), f"{name}: covered vertex not in replicas"
+    return res, seconds
 
 
 def footprint_model(name: str, el: EdgeList, *, k: int) -> int:
@@ -184,7 +191,7 @@ def run_table4(
                     graph=gname,
                     partitioner=pname,
                     t_partition_s=round(t_part, 3),
-                    rf=round(replication_factor_np(res), 3),
+                    rf=round(res.replication_factor(), 3),
                     pr_s=round(pr_stats.wall_s, 2),
                     pr_comm=pr_stats.comm_rows,
                     bfs_s=round(bfs_wall, 2),
@@ -212,7 +219,7 @@ def run_table5(
                     graph=gname,
                     partitioner=f"HEP-{tau:g}",
                     vertex_balance=round(vertex_balance_np(res), 3),
-                    rf=round(replication_factor_np(res), 3),
+                    rf=round(res.replication_factor(), 3),
                 )
             )
     return rows
@@ -253,7 +260,7 @@ def run_table6(
             modeled_runtime_s=round(
                 hep1.stats["t_inmem_s"] + hep1.stats["t_stream_s"], 3
             ),
-            rf=round(replication_factor_np(hep1), 3),
+            rf=round(hep1.replication_factor(), 3),
         )
     )
     return rows
@@ -274,7 +281,7 @@ def run_fig8(
                 dict(
                     graph=gname,
                     partitioner=pname,
-                    rf=round(replication_factor_np(res), 3),
+                    rf=round(res.replication_factor(), 3),
                     seconds=round(t, 3),
                     balance=round(edge_balance_np(res), 3),
                     mem_model_mib=round(footprint_model(pname, el, k=k) / 2**20, 3),
@@ -294,18 +301,16 @@ def run_fig9(
         hep = partition_hep(el, k=k, tau=tau)
         t_hep = time.perf_counter() - t0
         t0 = time.perf_counter()
-        simple = partition_simple_hybrid(el, k=k, tau=tau)
+        simple = partition_hep(el, k=k, tau=tau, inmem="ne", streaming_method="random")
         t_simple = time.perf_counter() - t0
         rows.append(
             dict(
                 tau=tau,
-                rf_hep=round(replication_factor_np(hep), 3),
-                rf_simple=round(replication_factor_np(simple), 3),
+                rf_hep=round(hep.replication_factor(), 3),
+                rf_simple=round(simple.replication_factor(), 3),
                 t_hep_s=round(t_hep, 3),
                 t_simple_s=round(t_simple, 3),
-                rf_ratio=round(
-                    replication_factor_np(simple) / replication_factor_np(hep), 2
-                ),
+                rf_ratio=round(simple.replication_factor() / hep.replication_factor(), 2),
                 t_inmem_hep_s=round(hep.stats["t_inmem_s"], 3),
                 t_inmem_simple_s=round(simple.stats["t_inmem_s"], 3),
             )

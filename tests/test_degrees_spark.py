@@ -5,7 +5,6 @@ from pyspark.sql import functions as F
 
 from repro.graphs.degrees import (
     degrees_df,
-    degrees_np,
     high_mask_np,
     high_vertices,
     mean_degree,
@@ -34,7 +33,7 @@ def test_degrees_oracle(spark, name):
 @pytest.mark.parametrize("name", ["OK", "WI"])
 def test_degrees_match_numpy(spark, name):
     el = tiny_graph(name)
-    deg_np = degrees_np(el)
+    deg_np = el.degrees()
     rows = degrees_df(to_spark(spark, el)).collect()
     for r in rows:
         assert deg_np[r["v"]] == r["degree"]
@@ -44,7 +43,7 @@ def test_degrees_match_numpy(spark, name):
 def test_mean_degree_matches_numpy(spark):
     el = tiny_graph("OK")
     m_spark = mean_degree(degrees_df(to_spark(spark, el)))
-    deg = degrees_np(el)
+    deg = el.degrees()
     assert m_spark == pytest.approx(deg[deg > 0].mean())
 
 
@@ -66,7 +65,7 @@ def test_split_matches_numpy(spark, tau):
     edges = to_spark(spark, el)
     high = high_vertices(degrees_df(edges), tau)
     inmem, h2h = split_edges(edges, high)
-    mask = high_mask_np(degrees_np(el), tau)
+    mask = high_mask_np(el.degrees(), tau)
     inmem_np, h2h_np = split_edges_np(el, mask)
     assert inmem.count() == len(inmem_np)
     assert h2h.count() == len(h2h_np)
@@ -111,4 +110,4 @@ def test_high_mask_threshold_strict(spark):
     cyc = EdgeList(
         edges=np.array([[i, (i + 1) % 5] for i in range(5)], dtype=np.uint32), n=5
     )
-    assert not high_mask_np(degrees_np(cyc), 1.0).any()
+    assert not high_mask_np(cyc.degrees(), 1.0).any()

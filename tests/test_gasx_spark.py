@@ -7,9 +7,9 @@ from pyspark.sql import functions as F
 
 from repro.core.hashing import dbh_np, partition_dbh
 from repro.core.hep import partition_hep
-from repro.core.metrics import assignment_to_spark
+from repro.core.metrics import assignment_to_spark, covered_vertices
 from repro.gasx.algorithms import bfs, connected_components, pagerank
-from repro.gasx.engine import comm_volume, replica_table, symmetrize, vertices
+from repro.gasx.engine import comm_volume, symmetrize, vertices
 from repro.gasx.reference import bfs_ref, cc_ref, pagerank_ref
 from repro.oracle import assert_equivalent
 
@@ -60,7 +60,7 @@ def test_replica_table_oracle(spark, el, adf_hep):
             SELECT pid, src AS v FROM a UNION ALL SELECT pid, dst AS v FROM a
         )
     """
-    assert_equivalent(replica_table(adf_hep), sql, a=pdf)
+    assert_equivalent(covered_vertices(adf_hep), sql, a=pdf)
 
 
 def test_pagerank_matches_reference(el, adf_hep):

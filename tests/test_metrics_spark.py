@@ -9,7 +9,6 @@ from repro.core.metrics import (
     edge_balance,
     edge_balance_np,
     replication_factor,
-    replication_factor_np,
     vertex_balance,
     vertex_balance_np,
 )
@@ -48,9 +47,7 @@ def test_covered_vertices_oracle(spark, hep_result):
 
 def test_replication_factor_spark_vs_np(spark, hep_result):
     adf = assignment_to_spark(spark, hep_result)
-    assert replication_factor(adf) == pytest.approx(
-        replication_factor_np(hep_result)
-    )
+    assert replication_factor(adf) == pytest.approx(hep_result.replication_factor())
 
 
 def test_edge_balance_spark_vs_np(spark, hep_result):

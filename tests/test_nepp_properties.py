@@ -61,7 +61,7 @@ def test_cleanup_removes_only_fraction(name, k):
     array than eager removal's 100% (absolute fractions shrink with
     graph scale; the bench re-measures at bench scale)."""
     el = tiny_graph(name)
-    res = partition_nepp(el, k=k, tau=10.0)
+    res, _ = partition_nepp(el, k=k, tau=10.0)
     frac = res.stats["cleaned_entries"] / max(res.stats["initial_col_entries"], 1)
     assert frac < 0.95, f"cleanup touched {frac:.0%} of the column array"
 
@@ -71,7 +71,7 @@ def test_cleanup_fraction_smaller_on_web_graph():
     graphs (OK) — the expansion keeps S_i small on local structure."""
     frac = {}
     for name in ("IT", "OK"):
-        res = partition_nepp(tiny_graph(name), k=32, tau=10.0)
+        res, _ = partition_nepp(tiny_graph(name), k=32, tau=10.0)
         frac[name] = res.stats["cleaned_entries"] / res.stats["initial_col_entries"]
     assert frac["IT"] < frac["OK"]
 
@@ -93,7 +93,7 @@ def test_capacity_bound_adapted(name):
     ⌈|E \\ E_h2h|/k⌉, not ⌈|E|/k⌉."""
     el = tiny_graph(name)
     k = 8
-    res = partition_nepp(el, k=k, tau=1.0)
+    res, _ = partition_nepp(el, k=k, tau=1.0)
     m_inmem = res.stats["m_inmem"]
     assert res.stats["cap"] == -(-m_inmem // k)
     assert res.sizes.max() <= res.stats["cap"] + el.degrees().max()
@@ -101,16 +101,16 @@ def test_capacity_bound_adapted(name):
 
 def test_low_tau_classifies_high_vertices():
     el = tiny_graph("OK")
-    res = partition_nepp(el, k=8, tau=1.0)
+    res, h2h = partition_nepp(el, k=8, tau=1.0)
     assert res.stats["high_count"] > 0
-    assert len(res.stats["h2h"]) > 0
+    assert len(h2h) > 0
 
 
 def test_tau_monotone_h2h():
     """Lower τ ⇒ more high-degree vertices ⇒ more streamed edges."""
     el = tiny_graph("OK")
     h2h_sizes = [
-        len(partition_nepp(el, k=8, tau=t).stats["h2h"]) for t in (100.0, 2.0, 1.0, 0.5)
+        len(partition_nepp(el, k=8, tau=t)[1]) for t in (100.0, 2.0, 1.0, 0.5)
     ]
     assert h2h_sizes == sorted(h2h_sizes)
 
@@ -120,7 +120,7 @@ def test_all_partitions_within_cap_plus_spill():
     last may take the remainder)."""
     el = tiny_graph("OK")
     k = 32
-    res = partition_nepp(el, k=k, tau=100.0)
+    res, _ = partition_nepp(el, k=k, tau=100.0)
     cap = res.stats["cap"]
     assert (res.sizes[:-1] <= cap).all()
 

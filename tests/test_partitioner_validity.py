@@ -8,7 +8,6 @@ import pytest
 from repro.core.common import PartitionResult, check_valid
 from repro.core.hashing import dbh_np
 from repro.core.hep import partition_hep
-from repro.core.hybrid_baseline import partition_simple_hybrid
 from repro.core.ne import partition_ne
 from repro.core.nepp import partition_nepp
 from repro.core.sne import partition_sne
@@ -33,7 +32,9 @@ PARTITIONERS = {
     "hdrf": lambda el, k: partition_streaming(el, k=k, method="hdrf"),
     "greedy": lambda el, k: partition_streaming(el, k=k, method="greedy"),
     "random": lambda el, k: partition_streaming(el, k=k, method="random"),
-    "simple-hybrid-1": lambda el, k: partition_simple_hybrid(el, k=k, tau=1.0),
+    "simple-hybrid-1": lambda el, k: partition_hep(
+        el, k=k, tau=1.0, inmem="ne", streaming_method="random"
+    ),
 }
 
 # DBH is stateless hashing: valid but unbalanced by design, so it is
@@ -84,8 +85,8 @@ def test_valid_on_disconnected(pname):
 def test_nepp_plus_h2h_cover_everything(tau, k):
     """NE++'s assignment plus its external h2h edges cover the graph."""
     el = tiny_graph("OK")
-    res = partition_nepp(el, k=k, tau=tau)
-    assert res.assignment.shape[0] + len(res.stats["h2h"]) == el.m
+    res, h2h = partition_nepp(el, k=k, tau=tau)
+    assert res.assignment.shape[0] + len(h2h) == el.m
 
 
 @pytest.mark.parametrize("pname", sorted(PARTITIONERS) + ["dbh"])

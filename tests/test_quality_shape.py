@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.hashing import dbh_np
 from repro.core.hep import partition_hep
-from repro.core.hybrid_baseline import partition_simple_hybrid
 from repro.core.ne import partition_ne
 from repro.core.sne import partition_sne
 from repro.core.streaming import partition_streaming
@@ -78,7 +77,7 @@ def test_informed_hdrf_beats_random_streaming_in_hybrid():
     el = tiny_graph("OK")
     k = 32
     rf_hep = rf(partition_hep(el, k=k, tau=1.0))
-    rf_simple = rf(partition_simple_hybrid(el, k=k, tau=1.0))
+    rf_simple = rf(partition_hep(el, k=k, tau=1.0, inmem="ne", streaming_method="random"))
     assert rf_hep < rf_simple
 
 

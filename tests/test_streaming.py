@@ -186,8 +186,7 @@ def test_matches_reference_warm_from_nepp(name, tau, method):
     At scale 0.05 both graphs have h2h edges at τ=10 as well."""
     el = tiny_graph(name, scale=0.05)
     k = 16
-    inmem = partition_nepp(el, k=k, tau=tau)
-    h2h = inmem.stats["h2h"]
+    inmem, h2h = partition_nepp(el, k=k, tau=tau)
     assert len(h2h) > 0
     cap = max(1, int(np.ceil(1.05 * el.m / k)))
     assert_matches_reference(
@@ -256,6 +255,6 @@ def test_hep_rejects_bad_method_with_no_h2h_edges():
     """At τ=100 this graph has no high-degree vertex, so nothing is
     streamed; the method is still checked."""
     el = rmat(scale=8, n_edges=500)
-    assert len(partition_nepp(el, k=4, tau=100).stats["h2h"]) == 0
+    assert len(partition_nepp(el, k=4, tau=100)[1]) == 0
     with pytest.raises(ValueError, match="unknown streaming method"):
         partition_hep(el, k=4, tau=100, streaming_method="nope")
