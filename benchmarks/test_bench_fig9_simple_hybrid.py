@@ -10,12 +10,14 @@ def test_bench_fig9(benchmark):
     )
     print_rows(f"Fig. 9 (HEP vs simple hybrid, OK analog, k={K})", rows)
     by = {r["tau"]: r for r in rows}
-    # claim (1), weakened to parity: the paper's up-to-20× NE++-vs-NE
-    # run-time gap is a C++ cache-locality/bookkeeping effect that a
-    # Python port cannot exhibit (see EXPERIMENTS.md); we require NE++
-    # to stay within 2× of NE at τ=100 and to win at τ=1, where the
-    # pruned graph is genuinely smaller.
+    # claim (1), in direction only: NE++ (on Python scalars) is faster
+    # than NE (kept with its reference bookkeeping) at every τ. The
+    # paper's up-to-20× gap is partly a C++ cache-locality effect that a
+    # Python port does not show (see EXPERIMENTS.md), so no factor is
+    # asserted beyond the 2× bound at τ=100.
     assert by[100.0]["t_inmem_hep_s"] < 2.0 * by[100.0]["t_inmem_simple_s"]
     assert by[1.0]["t_inmem_hep_s"] < by[1.0]["t_inmem_simple_s"]
+    for tau, r in by.items():
+        assert r["t_inmem_hep_s"] < r["t_inmem_simple_s"], tau
     # claim (3): at τ=1 informed HDRF clearly beats random streaming
     assert by[1.0]["rf_ratio"] > 1.1

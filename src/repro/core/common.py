@@ -51,6 +51,22 @@ def _pair_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (lo << np.uint64(32)) | hi
 
 
+def check_edgelist(el: EdgeList) -> None:
+    """Raise ``ValueError`` unless ``el`` keeps the :class:`EdgeList`
+    contract: ids in ``0..n-1``, no self-loop, and each unordered pair
+    at most once (one sort of the pair keys)."""
+    if el.m == 0:
+        return
+    e = el.edges
+    if e.min() < 0 or e.max() >= el.n:
+        raise ValueError(f"vertex id outside 0..{el.n - 1}")
+    if (e[:, 0] == e[:, 1]).any():
+        raise ValueError("self-loop in edge list")
+    key = np.sort(_pair_key(e[:, 0], e[:, 1]))
+    if (key[1:] == key[:-1]).any():
+        raise ValueError("duplicate undirected edge in edge list")
+
+
 def check_valid(el: EdgeList, res: PartitionResult, *, alpha: float | None = None) -> None:
     """Assert ``res`` is a *valid* edge partitioning of ``el``.
 

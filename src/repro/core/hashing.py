@@ -5,9 +5,11 @@ partition is a pure function of its endpoint ids/degrees, so — unlike
 the sequential stateful partitioners — they are embarrassingly parallel
 and are implemented end-to-end in the DataFrame API. The hash is a
 Knuth multiplicative hash expressible identically in Spark SQL and
-DuckDB SQL, so tests oracle-check the full assignment. Vertex ids must
-stay below 2^22 so the 64-bit product cannot overflow (ids here are
-≤ ~2^21).
+DuckDB SQL, so tests oracle-check the full assignment. The SQL form
+multiplies in signed 64-bit arithmetic, so it is exact only for ids
+below 2^63 / 2654435761 ≈ 3.47·10⁹ (corpus ids are ≤ ~2^21); the numpy
+form (:func:`hash_np`) multiplies in uint64, which leaves the residue
+mod 2^32 exact for every 32-bit id.
 
 ``dbh_np`` is a numpy twin used where a driver-side result object is
 needed (complexity benches, Table 4 harness).
@@ -28,6 +30,12 @@ _KNUTH = 2654435761
 def hash_expr(col: str, k: int) -> str:
     """SQL text of the vertex hash, valid in Spark SQL and DuckDB."""
     return f"cast((({col} * {_KNUTH}) % 4294967296) % {k} as bigint)"
+
+
+def hash_np(ids: np.ndarray, k: int) -> np.ndarray:
+    """The vertex hash of :func:`hash_expr` on a numpy id array, as int64."""
+    h = (ids.astype(np.uint64) * np.uint64(_KNUTH)) % np.uint64(4294967296)
+    return (h % np.uint64(k)).astype(np.int64)
 
 
 def partition_dbh(edges: DataFrame, *, k: int) -> DataFrame:
@@ -69,8 +77,8 @@ def dbh_np(el: EdgeList, *, k: int) -> PartitionResult:
     dst = el.edges[:, 1].astype(np.int64)
     use_src = (deg[src] < deg[dst]) | ((deg[src] == deg[dst]) & (src < dst))
     picked = np.where(use_src, src, dst)
-    pid = ((picked * _KNUTH) % 4294967296) % k
-    assignment = np.stack([src, dst, pid.astype(np.int64)], axis=1)
+    pid = hash_np(picked, k)
+    assignment = np.stack([src, dst, pid], axis=1)
     cov = np.zeros((k, el.n), dtype=bool)
     cov[pid, src] = True
     cov[pid, dst] = True

@@ -19,7 +19,7 @@ import numpy as np
 from ..graphs.csr import CSR
 from ..graphs.degrees import high_mask_np, split_edges_np
 from ..graphs.generators import EdgeList
-from .common import PartitionResult
+from .common import PartitionResult, check_edgelist
 from .ne import partition_ne
 from .nepp import partition_nepp
 from .streaming import StreamState, stream_edges
@@ -46,8 +46,10 @@ def partition_hep(
     ``"ne"`` (the NE baseline on the split-off rest-subgraph, with its
     full CSR). ``streaming_method`` picks how ``E_h2h`` is streamed,
     warm-started from phase 1 either way. ``"ne"`` with ``"random"`` is
-    the §5.4 simple hybrid.
+    the §5.4 simple hybrid. Raises ``ValueError`` if ``el`` breaks the
+    :class:`EdgeList` contract (see :func:`.common.check_edgelist`).
     """
+    check_edgelist(el)
     if inmem not in _INMEM:
         raise ValueError(f"unknown inmem {inmem!r}; expected one of {_INMEM}")
     if csr is not None and inmem == "ne":

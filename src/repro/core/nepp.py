@@ -23,16 +23,29 @@ Differences from the NE baseline (:mod:`repro.core.ne`), per the paper:
 * **Spill-over** (Alg. 1, lines 26-28): edges overflowing a full
   partition go to the next partition, whose covered set gains their
   endpoints.
+
+The expansion loop runs on Python scalars: vertex states sit in one
+``bytearray`` (free / in S_i / core / high), external degrees and
+partition sizes in lists, neighbor lists are read once per visit as
+Python lists, and assignment rows go to one interleaved ``array('q')``
+that becomes the ``(m, 3)`` assignment without a copy. The per-vertex
+cost is thus a few list comprehensions instead of a dozen numpy calls
+on ~30-element arrays.
 """
+
 from __future__ import annotations
 
-import heapq
+from array import array
+from heapq import heappop, heappush
 
 import numpy as np
 
 from ..graphs.csr import CSR, build_pruned_csr
 from ..graphs.generators import EdgeList
 from .common import PartitionResult
+
+# vertex states, one byte per vertex
+_FREE, _SECONDARY, _CORE, _HIGH = 0, 1, 2, 3
 
 
 def partition_nepp(
@@ -53,135 +66,120 @@ def partition_nepp(
     """
     csr = csr if csr is not None else build_pruned_csr(el, tau=tau)
     n = csr.n
-    high = csr.high
     m_inmem = el.m - len(csr.h2h)
     cap = max(1, -(-m_inmem // k))  # ⌈|E \ E_h2h| / k⌉
     initial_entries = csr.col_entries  # before clean-up shrinks lists
+    out_of, in_of = csr.out_neighbors, csr.in_neighbors
 
-    core = np.zeros(n, dtype=bool)
-    in_s = np.zeros(n, dtype=bool)  # low vertices in the current S_i
-    replicas = np.zeros((k, n), dtype=bool)
-    d_ext = np.zeros(n, dtype=np.int64)
-    sizes = np.zeros(k, dtype=np.int64)
-    a_src: list[np.ndarray] = []
-    a_dst: list[np.ndarray] = []
+    # high vertices are a-priori members of every S_i; a vertex in S_i
+    # that moves to the core stays _CORE, so "in S_i and not core" is
+    # exactly state _SECONDARY
+    state = bytearray(csr.high.astype(np.uint8) * _HIGH)
+    marked = bytearray(k * n)  # (k, n) replica marks of seeds and S_i moves
+    d_ext = [0] * n
+    sizes = [0] * k
+    rows = array("q")  # flat (src, dst, pid) triples
     assigned_total = 0
     cleaned_entries = 0
     seed_ptr = 0
+    # S_i's members in order and its heap of (external degree, vertex)
+    # entries, stale ones skipped on pop; rebound for each partition i
+    s_list: list[int] = []
+    heap: list[tuple[int, int]] = []
 
-    a_runs: list[tuple[int, int]] = []  # (pid, run length): expanded at the end
+    def emit(us: list[int], vs: list[int], pid: int) -> None:
+        flat = [pid] * (3 * len(us))
+        flat[0::3] = us
+        flat[1::3] = vs
+        rows.extend(flat)
 
-    def record(u_arr: np.ndarray, v_arr: np.ndarray, pid: int) -> None:
-        nonlocal assigned_total
-        if len(u_arr) == 0:
-            return
-        a_src.append(np.asarray(u_arr, dtype=np.int64))
-        a_dst.append(np.asarray(v_arr, dtype=np.int64))
-        a_runs.append((pid, len(u_arr)))
-        sizes[pid] += len(u_arr)
-        assigned_total += len(u_arr)
-
-    def assign_split(v: int, w_out: np.ndarray, w_in: np.ndarray, i: int) -> None:
+    def assign_split(v: int, w_out: list[int], w_in: list[int], i: int) -> None:
         """Assign the edges between vertex ``v`` and its already-covered
         neighbors (``w_out`` from v's out-list ⇒ edges (v, w); ``w_in``
         from v's in-list ⇒ edges (w, v)), spilling any overflow beyond
         partition i's capacity onward (Alg. 1 lines 26-28). The spill
         cascades across subsequent partitions so that none exceeds its
         capacity bound — the paper reports perfect edge balance for
-        HEP; the last partition absorbs any remainder. Spilled
-        endpoints join the covered set of their partition."""
-        no, ni = len(w_out), len(w_in)
-        if no + ni == 0:
+        HEP; the last partition absorbs any remainder. Replicas of the
+        endpoints (high-degree ones and spilled ones joining S_{i+1}
+        included) are taken from the assignment at the end."""
+        nonlocal assigned_total
+        total = len(w_out) + len(w_in)
+        if total == 0:
             return
-        us = np.empty(no + ni, dtype=np.int64)
-        vs = np.empty(no + ni, dtype=np.int64)
-        us[:no] = v
-        vs[:no] = w_out
-        us[no:] = w_in
-        vs[no:] = v
+        us = [v] * len(w_out) + w_in
+        vs = w_out + [v] * len(w_in)
+        assigned_total += total
         pos, j = 0, i
-        while pos < len(us):
+        while pos < total:
             if j >= k - 1:
                 j = k - 1
-                take = len(us) - pos
+                take = total - pos
             else:
-                room = int(cap - sizes[j])
+                room = cap - sizes[j]
                 if room <= 0:
                     j += 1
                     continue
-                take = min(room, len(us) - pos)
-            seg_u, seg_v = us[pos : pos + take], vs[pos : pos + take]
-            record(seg_u, seg_v, j)
-            # mark both endpoints replicated on j — this also covers
-            # high-degree endpoints, whose a-priori S_i membership is
-            # never materialized by the move functions, and spilled
-            # endpoints joining S_{i+1}
-            replicas[j, seg_u] = True
-            replicas[j, seg_v] = True
+                take = min(room, total - pos)
+            emit(us[pos : pos + take], vs[pos : pos + take], j)
+            sizes[j] += take
             pos += take
+
+    def move_to_secondary(u: int) -> None:
+        """Alg. 1 lines 16-28, with high-degree vertices counted as
+        members of S_i and capacity-aware spill."""
+        state[u] = _SECONDARY
+        marked[i * n + u] = 1
+        s_list.append(u)
+        out_nb = out_of(u).tolist()
+        in_nb = in_of(u).tolist()
+        # edges to already-covered neighbors are assigned now; the
+        # out-list holds (u, w) edges, the in-list (w, u) edges.
+        w_out = [w for w in out_nb if state[w]]
+        w_in = [w for w in in_nb if state[w]]
+        assign_split(u, w_out, w_in, i)
+        d_ext[u] = len(out_nb) + len(in_nb) - len(w_out) - len(w_in)
+        heappush(heap, (d_ext[u], u))
+        # external degrees of S_i neighbors shrink by one
+        for w in w_out + w_in:
+            if state[w] == _SECONDARY:
+                d_ext[w] -= 1
+                heappush(heap, (d_ext[w], w))
+
+    def move_to_core(v: int) -> None:
+        """Alg. 1 lines 12-15. For seeds (never in S_i) the edges to
+        a-priori-secondary high-degree neighbors are assigned here,
+        since no MoveToSecondary will ever scan the high side."""
+        was_in_s = state[v] == _SECONDARY
+        state[v] = _CORE
+        marked[i * n + v] = 1
+        out_nb = out_of(v).tolist()
+        in_nb = in_of(v).tolist()
+        if not was_in_s:
+            h_out = [w for w in out_nb if state[w] == _HIGH]
+            h_in = [w for w in in_nb if state[w] == _HIGH]
+            assign_split(v, h_out, h_in, i)
+        cand = [w for w in out_nb if not state[w]]
+        cand += [w for w in in_nb if not state[w]]
+        for w in cand:
+            move_to_secondary(w)
 
     for i in range(k - 1):
         if assigned_total >= m_inmem:
             break
-        in_s[:] = False
-        s_list: list[int] = []
-        heap: list[tuple[int, int]] = []
-
-        def move_to_secondary(u: int, i: int = i, s_list=s_list, heap=heap) -> None:
-            """Alg. 1 lines 16-28, with high-degree vertices counted as
-            members of S_i and capacity-aware spill."""
-            in_s[u] = True
-            replicas[i, u] = True
-            s_list.append(u)
-            out_nb = csr.out_neighbors(u)
-            in_nb = csr.in_neighbors(u)
-            no = len(out_nb)
-            nb = np.concatenate([out_nb, in_nb]).astype(np.int64)
-            hit = core[nb] | in_s[nb] | high[nb]
-            # edges to already-covered neighbors are assigned now; the
-            # out-list holds (u, w) edges, the in-list (w, u) edges.
-            w_out = nb[:no][hit[:no]]
-            w_in = nb[no:][hit[no:]]
-            assign_split(u, w_out, w_in, i)
-            d_ext[u] = len(nb) - len(w_out) - len(w_in)
-            heapq.heappush(heap, (int(d_ext[u]), u))
-            # external degrees of low S_i neighbors shrink by one
-            w_all = np.concatenate([w_out, w_in])
-            upd = w_all[in_s[w_all] & ~core[w_all]]
-            if len(upd):
-                np.subtract.at(d_ext, upd, 1)
-                for wi in upd.tolist():
-                    heapq.heappush(heap, (int(d_ext[wi]), wi))
-
-        def move_to_core(v: int, i: int = i) -> None:
-            """Alg. 1 lines 12-15. For seeds (never in S_i) the edges to
-            a-priori-secondary high-degree neighbors are assigned here,
-            since no MoveToSecondary will ever scan the high side."""
-            was_in_s = bool(in_s[v])
-            core[v] = True
-            replicas[i, v] = True
-            out_nb = csr.out_neighbors(v)
-            in_nb = csr.in_neighbors(v)
-            if not was_in_s:
-                h_out = out_nb[high[out_nb]].astype(np.int64)
-                h_in = in_nb[high[in_nb]].astype(np.int64)
-                assign_split(v, h_out, h_in, i)
-            nb = np.concatenate([out_nb, in_nb])
-            cand = nb[~(core[nb] | in_s[nb] | high[nb])]
-            for wi in cand.tolist():
-                move_to_secondary(wi)
-
+        s_list = []
+        heap = []
         while sizes[i] < cap and assigned_total < m_inmem:
             v = -1
             while heap:
-                d, u = heapq.heappop(heap)
-                if in_s[u] and not core[u] and d == d_ext[u]:
+                d, u = heappop(heap)
+                if state[u] == _SECONDARY and d == d_ext[u]:
                     v = u
                     break
             if v < 0:
                 # Initialization (§3.2.3): sequential seed search.
                 while seed_ptr < n and (
-                    high[seed_ptr] or core[seed_ptr] or csr.degree(seed_ptr) == 0
+                    state[seed_ptr] >= _CORE or csr.degree(seed_ptr) == 0
                 ):
                     seed_ptr += 1
                 if seed_ptr >= n:
@@ -189,45 +187,35 @@ def partition_nepp(
                 v = seed_ptr
             move_to_core(v)
 
-        # Clean-up (Alg. 2): only vertices still in S_i can be rescanned.
+        # Clean-up (Alg. 2): only vertices still in S_i can be rescanned;
+        # they keep the entries pointing outside C ∪ S_i.
         for u in s_list:
-            if core[u]:
+            if state[u] == _CORE:
                 continue
-            out_nb = csr.out_neighbors(u)
-            in_nb = csr.in_neighbors(u)
-            cleaned_entries += csr.remove_neighbors(
-                u,
-                core[out_nb] | in_s[out_nb] | high[out_nb],
-                core[in_nb] | in_s[in_nb] | high[in_nb],
-            )
+            keep_out = [w for w in out_of(u).tolist() if not state[w]]
+            keep_in = [w for w in in_of(u).tolist() if not state[w]]
+            cleaned_entries += csr.remove_neighbors(u, keep_out, keep_in)
+        for u in s_list:
+            if state[u] == _SECONDARY:
+                state[u] = _FREE
 
     # Last partition (Alg. 3): sweep low non-core vertices that still
     # hold column entries (the others cannot contribute edges).
     last = k - 1
     nonempty = (csr.out_size + csr.in_size) > 0
-    for v in np.flatnonzero(~high & ~core & nonempty).tolist():
-        out_nb = csr.out_neighbors(v).astype(np.int64)
-        if len(out_nb):
-            record(np.full(len(out_nb), v, dtype=np.int64), out_nb, last)
-            replicas[last, v] = True
-            replicas[last, out_nb] = True
-        in_nb = csr.in_neighbors(v).astype(np.int64)
-        in_high = in_nb[high[in_nb]]
-        if len(in_high):
-            record(in_high, np.full(len(in_high), v, dtype=np.int64), last)
-            replicas[last, v] = True
-            replicas[last, in_high] = True
+    low_open = np.frombuffer(state, dtype=np.uint8) < _CORE
+    for v in np.flatnonzero(low_open & nonempty).tolist():
+        out_nb = out_of(v).tolist()
+        if out_nb:
+            emit([v] * len(out_nb), out_nb, last)
+        in_high = [w for w in in_of(v).tolist() if state[w] == _HIGH]
+        if in_high:
+            emit(in_high, [v] * len(in_high), last)
 
-    if a_src:
-        pids = np.repeat(
-            np.array([p for p, _ in a_runs], dtype=np.int64),
-            np.array([c for _, c in a_runs], dtype=np.int64),
-        )
-        assignment = np.stack(
-            [np.concatenate(a_src), np.concatenate(a_dst), pids], axis=1
-        )
-    else:
-        assignment = np.empty((0, 3), dtype=np.int64)
+    assignment = np.frombuffer(rows, dtype=np.int64).reshape(-1, 3)
+    replicas = np.frombuffer(marked, dtype=bool).reshape(k, n)
+    replicas[assignment[:, 2], assignment[:, 0]] = True
+    replicas[assignment[:, 2], assignment[:, 1]] = True
     return PartitionResult(
         assignment=assignment,
         k=k,
@@ -238,6 +226,6 @@ def partition_nepp(
             "cap": cap,
             "cleaned_entries": cleaned_entries,
             "initial_col_entries": initial_entries,
-            "high_count": int(high.sum()),
+            "high_count": int(csr.high.sum()),
         },
     ), csr.h2h

@@ -64,33 +64,26 @@ class CSR:
             self.touch(int(s) * ID_BYTES, int(e) * ID_BYTES)
         return self.col[s:e]
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """All valid neighbors of v (out-list then in-list)."""
-        return np.concatenate([self.out_neighbors(v), self.in_neighbors(v)])
+    def remove_neighbors(self, v: int, keep_out: list[int], keep_in: list[int]) -> int:
+        """Shrink v's lists to the ``keep_*`` entries; returns the count removed.
 
-    def remove_neighbors(self, v: int, mask_out: np.ndarray, mask_in: np.ndarray) -> int:
-        """Swap-remove the masked entries from v's lists; returns count.
-
-        ``mask_out``/``mask_in`` are boolean over the *current valid*
-        out/in entries. Compaction (keep unmasked, shrink size) is
-        equivalent to repeated swap-with-last + size decrement and keeps
-        the cost linear in the list length, as in the paper.
+        ``keep_out``/``keep_in`` are the entries of v's *current valid*
+        out/in lists to keep, in list order. Compaction (write the kept
+        entries to the front, shrink the size) is equivalent to repeated
+        swap-with-last + size decrement and keeps the cost linear in the
+        list length, as in the paper.
         """
         removed = 0
-        s = self.out_start[v]
-        sz = int(self.out_size[v])
-        if sz and mask_out.any():
-            keep = self.col[s : s + sz][~mask_out]
-            self.col[s : s + len(keep)] = keep
-            self.out_size[v] = len(keep)
-            removed += sz - len(keep)
-        s = self.in_start[v]
-        sz = int(self.in_size[v])
-        if sz and mask_in.any():
-            keep = self.col[s : s + sz][~mask_in]
-            self.col[s : s + len(keep)] = keep
-            self.in_size[v] = len(keep)
-            removed += sz - len(keep)
+        for start, size, keep in (
+            (self.out_start, self.out_size, keep_out),
+            (self.in_start, self.in_size, keep_in),
+        ):
+            sz = int(size[v])
+            if len(keep) < sz:
+                s = start[v]
+                self.col[s : s + len(keep)] = keep
+                size[v] = len(keep)
+                removed += sz - len(keep)
         return removed
 
     @property

@@ -214,6 +214,7 @@ def run_table5(
         el = graph(gname, scale=scale)
         for tau in taus:
             res = partition_hep(el, k=k, tau=tau)
+            check_valid(el, res)
             rows.append(
                 dict(
                     graph=gname,
@@ -252,6 +253,7 @@ def run_table6(
         )
     # the HEP alternative at τ=1: smaller footprint, no faults
     hep1 = partition_hep(el, k=k, tau=1.0)
+    check_valid(el, hep1)
     rows.append(
         dict(
             limit_frac="HEP-1",
@@ -303,6 +305,8 @@ def run_fig9(
         t0 = time.perf_counter()
         simple = partition_hep(el, k=k, tau=tau, inmem="ne", streaming_method="random")
         t_simple = time.perf_counter() - t0
+        check_valid(el, hep)
+        check_valid(el, simple)
         rows.append(
             dict(
                 tau=tau,

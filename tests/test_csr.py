@@ -128,16 +128,14 @@ def test_star_graph_pruning():
 def test_remove_neighbors_swap_removal():
     el = star_graph(4)  # hub 0 with leaves 1..4
     csr = build_csr(el, with_eids=False)
-    nb = csr.out_neighbors(0)
-    assert sorted(nb.tolist()) == [1, 2, 3, 4]
-    removed = csr.remove_neighbors(
-        0,
-        np.array([True, False, True, False]),
-        np.zeros(0, dtype=bool),
-    )
+    nb = csr.out_neighbors(0).tolist()
+    assert sorted(nb) == [1, 2, 3, 4]
+    keep = [nb[1], nb[3]]  # drop entries 0 and 2
+    removed = csr.remove_neighbors(0, keep, [])
     assert removed == 2
     assert csr.out_size[0] == 2
     assert len(csr.out_neighbors(0)) == 2
+    assert csr.out_neighbors(0).tolist() == keep
 
 
 def test_touch_hook_fires_on_access():

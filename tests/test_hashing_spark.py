@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.hashing import _KNUTH, dbh_np, partition_dbh, partition_grid
+from repro.core.hashing import _KNUTH, dbh_np, hash_np, partition_dbh, partition_grid
 from repro.graphs.generators import to_pandas, to_spark
 from repro.oracle import assert_equivalent
 
@@ -100,3 +100,14 @@ def test_dbh_hashes_low_degree_endpoint():
     res = dbh_np(el, k=4)
     leaf_pid = ((np.arange(1, 11) * _KNUTH) % 4294967296) % 4
     assert (res.assignment[:, 2] == leaf_pid[res.assignment[:, 1] - 1]).all()
+
+
+@pytest.mark.parametrize("k", [1, 3, 32])
+def test_hash_np_exact_for_32bit_ids(k):
+    """The numpy hash equals exact integer arithmetic up to 2^32 - 1,
+    past the ~3.47·10⁹ ids where a signed 64-bit product overflows."""
+    ids = np.array([0, 1, 2**21, 3_474_877_000, 3_500_000_000, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
+    want = [((int(x) * _KNUTH) % 2**32) % k for x in ids]
+    got = hash_np(ids, k)
+    assert got.dtype == np.int64
+    assert got.tolist() == want

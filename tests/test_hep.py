@@ -4,11 +4,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.common import check_valid
 from repro.core.hep import partition_hep
 from repro.graphs.csr import build_pruned_csr
+from repro.graphs.generators import EdgeList
 
-from .conftest import tiny_graph
+from .conftest import path_graph, tiny_graph
+
+INMEM = ("nepp", "ne")
 
 # SHA-256 of assignment bytes then replicas bytes, recorded from the
 # separate HEP and simple-hybrid modules that ``inmem`` replaced:
@@ -73,3 +79,68 @@ def test_csr_with_ne_rejected():
     el = tiny_graph("OK")
     with pytest.raises(ValueError, match="csr="):
         partition_hep(el, k=4, tau=1.0, inmem="ne", csr=build_pruned_csr(el, tau=1.0))
+
+
+def _edges(pairs, n):
+    return EdgeList(edges=np.array(pairs, dtype=np.uint32).reshape(-1, 2), n=n)
+
+
+@pytest.mark.parametrize("inmem", INMEM)
+@pytest.mark.parametrize(
+    "pairs", [[[0, 1], [1, 2], [0, 1], [2, 3]], [[0, 1], [1, 2], [1, 0]]], ids=["same", "reversed"]
+)
+def test_duplicate_edges_rejected(inmem, pairs):
+    with pytest.raises(ValueError, match="duplicate"):
+        partition_hep(_edges(pairs, 4), k=2, tau=100.0, inmem=inmem)
+
+
+@pytest.mark.parametrize("inmem", INMEM)
+def test_self_loop_rejected(inmem):
+    with pytest.raises(ValueError, match="self-loop"):
+        partition_hep(_edges([[0, 1], [1, 1]], 2), k=2, tau=100.0, inmem=inmem)
+
+
+@pytest.mark.parametrize("inmem", INMEM)
+@pytest.mark.parametrize("bad", [3, 2**32 - 1])
+def test_id_out_of_range_rejected(inmem, bad):
+    with pytest.raises(ValueError, match="vertex id"):
+        partition_hep(_edges([[0, 1], [1, bad]], 3), k=2, tau=100.0, inmem=inmem)
+
+
+@pytest.mark.parametrize("inmem", INMEM)
+@pytest.mark.parametrize("n", [0, 5])
+def test_empty_graph(inmem, n):
+    el = _edges([], n)
+    res = partition_hep(el, k=4, tau=1.0, inmem=inmem)
+    check_valid(el, res, alpha=1.05)
+    assert res.replicas.shape == (4, n) and not res.replicas.any()
+
+
+@pytest.mark.parametrize("inmem", INMEM)
+@pytest.mark.parametrize("tau", [100.0, 1.0, 0.1])
+def test_more_partitions_than_edges(inmem, tau):
+    el = path_graph(4)  # 3 edges
+    res = partition_hep(el, k=8, tau=tau, inmem=inmem)
+    check_valid(el, res, alpha=1.05)
+    assert not (res.covered() & ~res.replicas).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_contract_enforced_on_raw_edge_lists(data):
+    """Raw edge lists, self-loops and repeated pairs included: HEP
+    either rejects the input or returns a valid partitioning, and it
+    rejects exactly the inputs that break the contract."""
+    n = data.draw(st.integers(1, 8), label="n")
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    el = _edges(pairs, n)
+    keys = [tuple(sorted(p)) for p in pairs]
+    valid = all(a != b for a, b in keys) and len(set(keys)) == len(keys)
+    k = data.draw(st.integers(1, 6), label="k")
+    tau = data.draw(st.sampled_from([0.1, 1.0, 100.0]), label="tau")
+    if not valid:
+        with pytest.raises(ValueError):
+            partition_hep(el, k=k, tau=tau)
+        return
+    res = partition_hep(el, k=k, tau=tau)
+    check_valid(el, res, alpha=1.05)
